@@ -4,10 +4,10 @@ equal arena bytes, and the weight-quantization accuracy headline.
 Claims checked: an int8 KV cache holds >= 3x the tokens of fp32 in the
 same arena (per-row scales included in the accounting), quantized decode
 emits bit-identical tokens on seeded replay while staying within a small
-factor of fp32 throughput (pure numpy has no real int8 speedup; the cost
-model's ``int8_gemm_speedup`` models the hardware win), and per-channel
-weight quantization moves the tiny decoder's logits by at most the
-accuracy contract's bound."""
+factor of fp32 throughput (pure numpy has no int8 SIMD path: the exact
+int8 GEMM runs on float BLAS, so it can match fp32 but not beat it),
+and per-channel weight quantization moves the tiny decoder's logits by
+at most the accuracy contract's bound."""
 
 from dataclasses import replace
 

@@ -36,8 +36,10 @@
 #      pre-kill gold.
 #  10. Quantization self-test: per-channel int8 weights must hold the
 #      logits max-abs-error contract and pass the Q-rule lint, seeded
-#      replay over int8 weights + int8 KV must be bit-identical, and
-#      the int8 KV layout must fit >= 3x the tokens per arena byte.
+#      replay over int8 weights + int8 KV must be bit-identical, the
+#      int8 KV layout must fit >= 3x the tokens per arena byte, and the
+#      int8 GEMM's bytes must equal an int64 reference GEMM on both
+#      sides of its float32 -> float64 switch.
 #
 # Total runtime is a few minutes on a laptop.
 

@@ -168,7 +168,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         if w is not None and w.dtype == np.int8:
             # Quantized path: int8 weights + per-output-channel scales;
             # activations quantize dynamically per row inside qmatmul.
-            # Exact int32 accumulation makes the batched kernel bitwise
+            # Exact accumulation makes the batched kernel bitwise
             # token-invariant, so the rowwise contract needs no row loop.
             weight_scales = attrs.get("weight_scales")
             if weight_scales is None:

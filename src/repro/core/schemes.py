@@ -53,12 +53,6 @@ class SchemeConfig:
             multiplier): effective cost is scaled by ``(U + U0) / U``, so a
             handful of huge tiles cannot fully utilize the micro-kernel.
             This is what makes WinoMax lose on small feature maps (Table 1).
-        int8_gemm_speedup: per-MUL throughput advantage of the int8
-            micro-kernel over fp32 (4 lanes of 4x-narrower operands).
-            Divides the *direct* scheme costs for quantized layers;
-            Winograd/Strassen stay fp-only (their float transforms would
-            forfeit exact int32 accumulation), so their entries remain at
-            fp cost in the ranking — which is exactly why direct wins.
     """
 
     winograd_candidates: Tuple[int, ...] = (1, 2, 4, 6, 8)
@@ -66,7 +60,6 @@ class SchemeConfig:
     transform_weight: float = 2.0
     sliding_weight: float = 1.0
     gemm_efficiency_u0: float = 16.0
-    int8_gemm_speedup: float = 4.0
 
 
 @dataclass(frozen=True)
@@ -200,10 +193,10 @@ def select_conv_scheme(
     groups 1; illegal layers fall back to sliding window (or 1x1-GEMM).
 
     ``quantized=True`` (int8 weights) restricts the legal pool to the
-    direct schemes — sliding window and 1x1-GEMM — whose costs divide by
-    ``int8_gemm_speedup``.  Winograd flavours are still *costed* into
-    ``alternatives`` (at fp cost; their float transforms cannot run the
-    int8 contract) so reports show the ranking, but are never selected.
+    direct schemes — sliding window and 1x1-GEMM — priced like their fp
+    twins.  Winograd flavours are still *costed* into ``alternatives``
+    (their float transforms cannot keep the int8 GEMM exact) so reports
+    show the ranking, but are never selected.
     """
     cfg = config or SchemeConfig()
     memo_key = (
@@ -234,8 +227,6 @@ def _search_conv_scheme(
     oh, ow = out_hw
 
     sliding_cost = cfg.sliding_weight * oh * ow * (ic // groups) * kh * kw * oc
-    if quantized:
-        sliding_cost /= cfg.int8_gemm_speedup
     alternatives = {"sliding": sliding_cost}
 
     if kh == 1 and kw == 1 and dilation == (1, 1) and groups == 1:
@@ -244,8 +235,8 @@ def _search_conv_scheme(
 
     stride_dilation_ok = stride == (1, 1) and dilation == (1, 1) and groups == 1
     if quantized:
-        # Winograd's float transforms would forfeit the exact-int32
-        # contract: cost every flavour for the report, select none.
+        # Winograd's float transforms would forfeit the exact int8 GEMM:
+        # cost every flavour for the report, select none.
         if kh == kw and kh > 1 and stride_dilation_ok:
             for n in cfg.winograd_candidates:
                 if n <= 1 or n + kh - 1 > cfg.max_tile:

@@ -32,7 +32,7 @@ from ..ir.graph import Graph
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.tracer import Tracer, get_tracer
 from ..serving.cache import PreInferenceCache
-from .kvcache import KVSlab
+from .kvcache import KVCacheConfig, KVSlab
 from .prefill import cached_session
 
 __all__ = ["batch_buckets", "bucket_for_batch", "DecodeRunner"]
@@ -82,6 +82,9 @@ class DecodeRunner:
         self.faults = faults if faults is not None else get_fault_plan()
         self.retries = retries
         self._sessions: Dict[Tuple[int, int], Session] = {}
+        #: capacity -> ``(2 * layers, max_batch, heads, capacity, d_head)``
+        #: float32 K/V feed, refilled in place every step.
+        self._kv_feeds: Dict[int, np.ndarray] = {}
 
     def _session(self, batch: int, capacity: int) -> Session:
         key = (batch, capacity)
@@ -94,6 +97,16 @@ class DecodeRunner:
             )
             self._sessions[key] = session
         return session
+
+    def _kv_feed(self, config: KVCacheConfig, capacity: int) -> np.ndarray:
+        feed = self._kv_feeds.get(capacity)
+        if feed is None:
+            feed = np.zeros(
+                (2 * self.layers, self.buckets[-1], config.heads, capacity, config.d_head),
+                np.float32,
+            )
+            self._kv_feeds[capacity] = feed
+        return feed
 
     @property
     def prepared(self) -> List[Tuple[int, int]]:
@@ -128,40 +141,44 @@ class DecodeRunner:
                 )
         batch = bucket_for_batch(n, self.buckets)
 
+        lengths = np.zeros((batch,), np.int32)
+        lengths[:n] = [slab.length for slab in slabs]
         feed_tokens = np.zeros((batch, 1), np.int32)
         feed_tokens[:n, 0] = np.asarray(tokens, np.int32)
-        positions = np.zeros((batch, 1), np.int32)
-        lengths = np.zeros((batch,), np.int32)
-        for i, slab in enumerate(slabs):
-            positions[i, 0] = slab.length
-            lengths[i] = slab.length
         feeds: Dict[str, np.ndarray] = {
             "tokens": feed_tokens,
-            "positions": positions,
+            "positions": lengths.reshape(batch, 1).copy(),
             "lengths": lengths,
         }
+        # K/V in: each slab fills its valid rows of one shared feed.  Rows
+        # past a sequence's length (and padding sequences) keep whatever
+        # an earlier step left there; attention masks them by ``lengths``.
+        kv = self._kv_feed(cfg, capacity)
+        for i, slab in enumerate(slabs):
+            slab.read_into(kv[:, i])
         for layer in range(self.layers):
-            k_feed = np.zeros((batch, cfg.heads, capacity, cfg.d_head), np.float32)
-            v_feed = np.zeros_like(k_feed)
-            for i, slab in enumerate(slabs):
-                k_feed[i] = slab.k_read(layer)
-                v_feed[i] = slab.v_read(layer)
-            feeds[f"l{layer}_k_cache"] = k_feed
-            feeds[f"l{layer}_v_cache"] = v_feed
+            feeds[f"l{layer}_k_cache"] = kv[2 * layer, :batch]
+            feeds[f"l{layer}_v_cache"] = kv[2 * layer + 1, :batch]
 
         with self.tracer.span(
             "genai.decode_step", "genai", batch=n, batch_bucket=batch, capacity=capacity
         ):
             out = self._session(batch, capacity).run(feeds)
 
+        # K/V out: encode every new row in one call, one scatter per slab.
+        new_rows = np.stack([
+            out[f"l{layer}_{kv_name}"][:n]
+            for layer in range(self.layers) for kv_name in ("k", "v")
+        ])  # (2 * layers, n, heads, 1, d_head)
+        payload, scales = cfg.encode_rows(new_rows)
         for i, slab in enumerate(slabs):
-            row = slab.length
-            for layer in range(self.layers):
-                slab.write_k(layer, row, out[f"l{layer}_k"][i, :, 0:1, :])
-                slab.write_v(layer, row, out[f"l{layer}_v"][i, :, 0:1, :])
-            slab.length = row + 1
+            slab.put_rows(
+                slab.length, payload[:, i], None if scales is None else scales[:, i]
+            )
+            slab.length += 1
         self.metrics.counter("genai.decode_tokens").inc(n)
         return out["logits"][:n, 0, :]
 
     def close(self) -> None:
         self._sessions.clear()
+        self._kv_feeds.clear()

@@ -224,8 +224,8 @@ class GenerationEngine:
             return graph
         # Both the full and decode variants are built from the same seed,
         # so their shared weight constants quantize to identical int8
-        # bytes and scales — and because the int8 GEMM accumulates in
-        # exact int32, decode-vs-full bit-identity survives quantization.
+        # bytes and scales — and because the int8 GEMM accumulates
+        # exactly, decode-vs-full bit-identity survives quantization.
         from ..quant import quantize_graph
 
         return quantize_graph(graph)

@@ -139,6 +139,19 @@ class KVCacheConfig:
         row = self.heads * self.d_head * self.kv_itemsize + self.row_scale_bytes
         return self.layers * 2 * row
 
+    def encode_rows(self, values: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Float32 K/V rows to ``(payload, scales)`` in the storage dtype.
+
+        ``values`` is ``(..., heads, rows, d_head)``.  fp32 stores rows
+        verbatim (``scales`` is ``None``); int8 quantizes each row with
+        :func:`~repro.quant.kv.quantize_rows`, ``scales`` ``(..., rows)``.
+        The codec is a per-row pure function, so encoding many rows in
+        one call gives the same bytes as encoding them one by one.
+        """
+        if self.quantized:
+            return quantize_rows(values)
+        return np.asarray(values, np.float32), None
+
     @property
     def page_bytes(self) -> int:
         return _align(self.page_tokens * self.per_token_bytes)
@@ -177,16 +190,23 @@ class KVSlab:
     the slab is ``[layer][k|v][head][token][dim]``; under
     ``kv_dtype="int8"`` a per-row float32 scales table
     (``[layer][k|v][token]``) follows the payload planes at the slab
-    tail.  The typed accessors are the decode/prefill API:
+    tail.  :meth:`planes` and :meth:`row_scales` view each region whole,
+    plane ``2 * layer + (0 for K, 1 for V)``.  The typed accessors are
+    the decode/prefill API:
 
-    * :meth:`k_read` / :meth:`v_read` — float32 rows, dequantized on
-      read when quantized (zero-copy passthrough for fp32);
-    * :meth:`write_k` / :meth:`write_v` — float32 rows in, quantized on
-      write (scale stored alongside) when quantized.
+    * :meth:`read_into` / :meth:`write_rows` — every layer's K and V
+      rows at once, float32 in and out (the per-step path);
+    * :meth:`k_read` / :meth:`v_read` — one layer's float32 rows,
+      dequantized on read when quantized (zero-copy passthrough for
+      fp32);
+    * :meth:`write_k` / :meth:`write_v` — one layer's float32 rows in,
+      quantized on write (scale stored alongside) when quantized.
 
-    The raw ``k``/``v`` views stay available on purpose: re-bucketing
-    copies (:meth:`copy_rows_from`) move int8 bytes and scales verbatim,
-    never through a requantization round-trip.
+    The raw views stay available on purpose: re-bucketing copies
+    (:meth:`copy_rows_from`) move int8 bytes and scales verbatim, never
+    through a requantization round-trip.  Every view of a freed slab
+    raises :class:`KVCacheUseAfterFree`, and every view of a shared
+    (COW) slab is read-only.
     """
 
     seq_id: str
@@ -220,8 +240,7 @@ class KVSlab:
     def nbytes(self) -> int:
         return self.pages * self.config.page_bytes
 
-    def _guard(self, layer: int) -> None:
-        cfg = self.config
+    def _check_live(self) -> None:
         if self.freed:
             sanitizer = self.sanitizer
             if sanitizer is not None and sanitizer.enabled:
@@ -232,23 +251,13 @@ class KVSlab:
                 f"generation {self.generation}) — these pages may belong "
                 f"to another sequence now"
             )
-        if not 0 <= layer < cfg.layers:
-            raise IndexError(f"layer {layer} out of range for {cfg.layers} layers")
 
-    @property
-    def _plane_bytes(self) -> int:
-        """Bytes per K or V payload plane (one layer, storage dtype)."""
-        cfg = self.config
-        return cfg.heads * self.capacity * cfg.d_head * cfg.kv_itemsize
+    def _plane_index(self, layer: int, which: int) -> int:
+        if not 0 <= layer < self.config.layers:
+            raise IndexError(f"layer {layer} out of range for {self.config.layers} layers")
+        return 2 * layer + which
 
-    def _view(self, layer: int, which: int) -> np.ndarray:
-        cfg = self.config
-        self._guard(layer)
-        plane = self._plane_bytes
-        start = self.offset_bytes + (2 * layer + which) * plane
-        dtype = np.int8 if cfg.quantized else np.float32
-        flat = self.buffer[start : start + plane].view(dtype)
-        view = flat.reshape(cfg.heads, self.capacity, cfg.d_head)
+    def _guarded(self, view: np.ndarray) -> np.ndarray:
         if self.shared:
             # Hard guard: writing through a COW child would corrupt the
             # parent (and every sibling) silently.  NumPy turns such a
@@ -256,21 +265,44 @@ class KVSlab:
             view.flags.writeable = False
         return view
 
-    def _scales_view(self, layer: int, which: int) -> np.ndarray:
-        """Float32 ``(capacity,)`` per-row scales for one K/V plane.
+    @property
+    def _payload_bytes(self) -> int:
+        """Bytes of all K/V payload planes (storage dtype)."""
+        cfg = self.config
+        return 2 * cfg.layers * cfg.heads * self.capacity * cfg.d_head * cfg.kv_itemsize
+
+    def planes(self) -> np.ndarray:
+        """``(2 * layers, heads, capacity, d_head)`` payload view, storage dtype."""
+        self._check_live()
+        cfg = self.config
+        start = self.offset_bytes
+        dtype = np.int8 if cfg.quantized else np.float32
+        flat = self.buffer[start : start + self._payload_bytes].view(dtype)
+        return self._guarded(
+            flat.reshape(2 * cfg.layers, cfg.heads, self.capacity, cfg.d_head)
+        )
+
+    def row_scales(self) -> np.ndarray:
+        """Float32 ``(2 * layers, capacity)`` per-row scales (int8 only).
 
         Lives after the last payload plane; the payload region is a
         float32 multiple (``d_head % 4 == 0`` is enforced for int8), so
         the table starts 4-byte aligned within the 64-byte-aligned slab.
         """
         cfg = self.config
-        self._guard(layer)
-        base = self.offset_bytes + 2 * cfg.layers * self._plane_bytes
-        start = base + (2 * layer + which) * self.capacity * 4
-        view = self.buffer[start : start + self.capacity * 4].view(np.float32)
-        if self.shared:
-            view.flags.writeable = False
-        return view
+        if not cfg.quantized:
+            raise ValueError(f"kv_dtype={cfg.kv_dtype!r} slabs keep no row scales")
+        self._check_live()
+        start = self.offset_bytes + self._payload_bytes
+        flat = self.buffer[start : start + 2 * cfg.layers * self.capacity * 4]
+        return self._guarded(flat.view(np.float32).reshape(2 * cfg.layers, self.capacity))
+
+    def _view(self, layer: int, which: int) -> np.ndarray:
+        return self.planes()[self._plane_index(layer, which)]
+
+    def _scales_view(self, layer: int, which: int) -> np.ndarray:
+        """Float32 ``(capacity,)`` per-row scales for one K/V plane."""
+        return self.row_scales()[self._plane_index(layer, which)]
 
     def k(self, layer: int) -> np.ndarray:
         return self._view(layer, 0)
@@ -279,6 +311,42 @@ class KVSlab:
         return self._view(layer, 1)
 
     # -- typed accessors (the decode/prefill API) ---------------------------
+    def read_into(self, out: np.ndarray) -> None:
+        """Store rows ``[:length]`` of every plane, float32, into ``out``.
+
+        ``out`` is ``(2 * layers, heads, >= length, d_head)`` float32;
+        its rows past ``length`` are left as they were (attention masks
+        every row at or past a sequence's length).
+        """
+        rows = self.length
+        planes = self.planes()[:, :, :rows]
+        if self.config.quantized:
+            dequantize_rows(planes, self.row_scales()[:, :rows], out=out[:, :, :rows])
+        else:
+            out[:, :, :rows] = planes
+
+    def put_rows(
+        self, start: int, payload: np.ndarray, scales: Optional[np.ndarray] = None
+    ) -> None:
+        """Scatter encoded rows (:meth:`KVCacheConfig.encode_rows`) into
+        every plane at ``start``: payload ``(2 * layers, heads, rows,
+        d_head)``, scales ``(2 * layers, rows)`` when quantized."""
+        rows = payload.shape[2]
+        self.planes()[:, :, start : start + rows] = payload
+        if self.config.quantized:
+            self.row_scales()[:, start : start + rows] = scales
+
+    def write_rows(self, start: int, values: np.ndarray) -> None:
+        """Store float32 ``(2 * layers, heads, rows, d_head)`` rows of every
+        plane at ``start`` (quantize-on-write for int8)."""
+        values = np.asarray(values, np.float32)
+        cfg = self.config
+        if values.ndim != 4 or values.shape[0] != 2 * cfg.layers:
+            raise ValueError(
+                f"expected (2 * layers, heads, rows, d_head) rows, got {values.shape}"
+            )
+        self.put_rows(start, *cfg.encode_rows(values))
+
     def _read(self, layer: int, which: int) -> np.ndarray:
         view = self._view(layer, which)
         if not self.config.quantized:
@@ -298,13 +366,10 @@ class KVSlab:
         if values.ndim != 3:
             raise ValueError(f"expected (heads, rows, d_head) rows, got {values.shape}")
         rows = values.shape[1]
-        view = self._view(layer, which)
-        if not self.config.quantized:
-            view[:, start : start + rows] = values
-            return
-        q, scales = quantize_rows(values)
-        view[:, start : start + rows] = q
-        self._scales_view(layer, which)[start : start + rows] = scales
+        payload, scales = self.config.encode_rows(values)
+        self._view(layer, which)[:, start : start + rows] = payload
+        if scales is not None:
+            self._scales_view(layer, which)[start : start + rows] = scales
 
     def write_k(self, layer: int, start: int, values: np.ndarray) -> None:
         """Store float32 K rows at ``start`` (quantize-on-write for int8)."""
@@ -321,11 +386,9 @@ class KVSlab:
         scale 0.0 is the unwritten-row sentinel — zeroing here makes
         every unwritten row dequantize to exact zeros on every path
         (junk scales can even overflow to inf under the dequant
-        multiply).  No-op geometry for fp32 arenas; callers skip it.
+        multiply).  Quantized slabs only.
         """
-        cfg = self.config
-        base = self.offset_bytes + 2 * cfg.layers * self._plane_bytes
-        self.buffer[base : base + 2 * cfg.layers * self.capacity * 4] = 0
+        self.row_scales()[:] = 0
 
     def copy_rows_from(self, src: "KVSlab", length: int) -> None:
         """Copy ``src``'s first ``length`` rows verbatim (scales included).
@@ -335,13 +398,9 @@ class KVSlab:
         grow/COW-materialize hops bit-identically — there is no
         dequantize→requantize round-trip anywhere in the slab lifecycle.
         """
-        for layer in range(self.config.layers):
-            for which in (0, 1):
-                self._view(layer, which)[:, :length] = src._view(layer, which)[:, :length]
-                if self.config.quantized:
-                    self._scales_view(layer, which)[:length] = (
-                        src._scales_view(layer, which)[:length]
-                    )
+        self.planes()[:, :, :length] = src.planes()[:, :, :length]
+        if self.config.quantized:
+            self.row_scales()[:, :length] = src.row_scales()[:, :length]
         self.length = length
 
     @property

@@ -204,9 +204,10 @@ class PrefillRunner:
         with self.tracer.span("genai.prefill", "genai", tokens=n, bucket=bucket):
             with self._pool(bucket).acquire() as session:
                 out = session.run({"tokens": tokens, "positions": positions})
-        for layer in range(self.layers):
-            slab.write_k(layer, 0, out[f"l{layer}_k"][0, :, :n, :])
-            slab.write_v(layer, 0, out[f"l{layer}_v"][0, :, :n, :])
+        slab.write_rows(0, np.stack([
+            out[f"l{layer}_{kv}"][0, :, :n, :]
+            for layer in range(self.layers) for kv in ("k", "v")
+        ]))
         slab.length = n
         self.metrics.counter("genai.prefill_tokens").inc(n)
         return out["logits"][0, n - 1]

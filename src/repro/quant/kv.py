@@ -23,7 +23,7 @@ so rows at or past a sequence's length are never attended.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,31 +53,38 @@ def quantize_rows(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row symmetric int8 quantization of K/V rows.
 
     Args:
-        values: ``(heads, rows, d_head)`` float array; axis 1 is the
-            token-row axis that owns the scales.
+        values: ``(..., heads, rows, d_head)`` float array; axis -2 is
+            the token-row axis that owns the scales.  Leading axes batch
+            independent planes (layers, K|V, sequences) into one call.
 
     Returns:
         ``(q, scales)``: int8 payload of the same shape and one float32
-        scale per row (``max_abs / 127``; all-zero rows get scale 0.0).
+        scale per row, ``(..., rows)`` (``max_abs / 127``; all-zero rows
+        get scale 0.0).  Each row's bytes depend on that row alone, so a
+        batched call equals the row-by-row calls bit for bit.
     """
     vals = np.asarray(values, dtype=np.float32)
-    if vals.ndim != 3:
-        raise ValueError(f"expected (heads, rows, d_head), got shape {vals.shape}")
-    max_abs = np.max(np.abs(vals), axis=(0, 2)) if vals.size else np.zeros(
-        vals.shape[1], np.float32
+    if vals.ndim < 3:
+        raise ValueError(f"expected (..., heads, rows, d_head), got shape {vals.shape}")
+    max_abs = np.abs(vals).max(axis=(-3, -1)) if vals.size else np.zeros(
+        vals.shape[:-3] + vals.shape[-2:-1], np.float32
     )
     scales = (max_abs / 127.0).astype(np.float32)
     # Quantize with the float32-rounded scale the table will store, so a
     # later dequant multiplies by bit-identically the same value.
     safe = np.where(scales > 0, scales, np.float32(1.0)).astype(np.float32)
-    q = np.clip(np.rint(vals / safe.reshape(1, -1, 1)), -127, 127).astype(np.int8)
+    q = np.clip(np.rint(vals / safe[..., None, :, None]), -127, 127).astype(np.int8)
     return q, scales
 
 
-def dequantize_rows(q: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def dequantize_rows(
+    q: np.ndarray, scales: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Inverse of :func:`quantize_rows`: int8 payload back to float32.
 
-    ``scales`` broadcasts over axis 1 (the token-row axis); scale-0.0
-    rows come back as exact zeros.
+    ``scales`` ``(..., rows)`` broadcasts over the heads and d_head axes
+    of ``q`` ``(..., heads, rows, d_head)``; scale-0.0 rows come back as
+    exact zeros.  ``out``, when given, receives the rows in place.
     """
-    return q.astype(np.float32) * np.asarray(scales, np.float32).reshape(1, -1, 1)
+    s = np.asarray(scales, np.float32)[..., None, :, None]
+    return np.multiply(q, s, out=out, dtype=np.float32)

@@ -175,7 +175,7 @@ def _config_fingerprint(config: SessionConfig) -> Dict[str, Any]:
         "candidate_backends": list(config.candidate_backends),
         "scheme_config": [
             list(sc.winograd_candidates), sc.max_tile, sc.transform_weight,
-            sc.sliding_weight, sc.gemm_efficiency_u0, sc.int8_gemm_speedup,
+            sc.sliding_weight, sc.gemm_efficiency_u0,
         ],
         "overrides": (
             sorted(config.scheme_overrides) if config.scheme_overrides else None

@@ -159,7 +159,7 @@ def cmd_quantize(args) -> int:
 
 
 def _quantize_selftest() -> int:
-    """The int8 stack's three contracts, checked end to end.
+    """The int8 stack's four contracts, checked end to end.
 
     1. Accuracy: quantizing the tiny decoder's MatMul weights moves its
        logits by at most a small bound (and the quantized graph is
@@ -168,6 +168,9 @@ def _quantize_selftest() -> int:
        an int8 KV cache emit bit-identical token streams.
     3. Capacity: the int8 KV layout holds at least 3x the tokens of the
        fp32 layout in the same arena bytes.
+    4. Exactness: the int8 GEMM's bytes equal an int64 reference GEMM on
+       both sides of its float32 -> float64 switch, so a change of GEMM
+       dtype cannot silently lose the exact sum.
     """
     from dataclasses import replace as _replace
 
@@ -196,7 +199,7 @@ def _quantize_selftest() -> int:
     err = max_abs_error(graph, quantized, feeds, outputs=["logits"])
     ok = err <= bound
     print(f"[{'ok' if ok else 'FAIL'}] logits max-abs-error {err:.4f} "
-          f"<= {bound} (per-channel int8 weights, exact int32 GEMM)")
+          f"<= {bound} (per-channel int8 weights, exact int8 GEMM)")
     failures += 0 if ok else 1
 
     def _generate():
@@ -229,6 +232,36 @@ def _quantize_selftest() -> int:
     print(f"[{'ok' if ok else 'FAIL'}] int8 KV fits {ratio:.2f}x the tokens "
           f"per arena byte ({fp_config.per_token_bytes} -> "
           f"{kv_config.per_token_bytes} B/token; need >= 3x)")
+    failures += 0 if ok else 1
+
+    from ..kernels import qgemm
+    from ..kernels.qgemm import gemm_dtype
+
+    depths = (1039, 1040, 1041, 3000)
+    gen = np.random.default_rng(3)
+    wrong = []
+    for k in depths:
+        # Near-saturated operands give uneven sums far past 2**24, which a
+        # float32 accumulator would round; all-127 operands hit the bound.
+        near = np.full((4, k), 127)
+        near[:, ::7] = 126
+        operands = [
+            (near, gen.integers(100, 128, size=(k, 32))),
+            (-near, gen.integers(100, 128, size=(k, 32))),
+            (np.full((4, k), 127), np.full((k, 32), -127)),
+        ]
+        for xq, wq in operands:
+            rs = gen.uniform(0, 0.05, 4).astype(np.float32)
+            cs = gen.uniform(0, 0.05, 32).astype(np.float32)
+            exact = xq.astype(np.int64) @ wq.astype(np.int64)
+            want = exact.astype(np.float32) * (rs.reshape(-1, 1) * cs.reshape(1, -1))
+            got = qgemm(xq.astype(np.int8), wq.astype(np.int8), rs, cs)
+            if got.tobytes() != want.tobytes():
+                wrong.append(k)
+    ok = not wrong
+    dtypes = ", ".join(f"k={k}: {np.dtype(gemm_dtype(k)).name}" for k in depths)
+    print(f"[{'ok' if ok else 'FAIL'}] int8 GEMM bytes equal the int64 reference "
+          f"({dtypes}){'' if ok else f'; mismatch at k={sorted(set(wrong))}'}")
     failures += 0 if ok else 1
 
     print("quantize selftest:", "ok" if failures == 0 else f"{failures} FAILED")

@@ -126,3 +126,38 @@ def conv_transpose2d_naive(x, weights, bias=None, stride=(1, 1), pads=(0, 0, 0, 
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out
+
+
+def qgemm_int64(xq, wq, row_scales, col_scales):
+    """Int8 GEMM reference: every product and sum in int64, then the
+    float32 dequant ``sum * (row_scale * col_scale)``."""
+    n, k = xq.shape
+    m = wq.shape[1]
+    acc = np.zeros((n, m), np.int64)
+    for p in range(k):
+        acc += np.outer(xq[:, p].astype(np.int64), wq[p].astype(np.int64))
+    scale = np.asarray(row_scales, np.float32).reshape(-1, 1) * np.asarray(
+        col_scales, np.float32
+    ).reshape(1, -1)
+    return acc.astype(np.float32) * scale
+
+
+def quantize_rowwise_naive(x):
+    """Per-row symmetric int8 codes (as int8) and float32 scales, row by row."""
+    xq = np.zeros(x.shape, np.int8)
+    scales = np.zeros(x.shape[0], np.float32)
+    for i, row in enumerate(np.asarray(x, np.float32)):
+        scale = np.float32(np.abs(row).max() / np.float32(127.0)) if row.size else np.float32(0)
+        scales[i] = scale
+        if scale > 0:
+            xq[i] = np.clip(np.rint(row / scale), -127, 127).astype(np.int8)
+    return xq, scales
+
+
+def qmatmul_int64(x, wq, col_scales):
+    """:func:`repro.kernels.qmatmul` from the naive quantizer and the
+    int64 GEMM: the bytes the fast kernel must reproduce."""
+    rows = np.asarray(x, np.float32).reshape(-1, x.shape[-1])
+    xq, scales = quantize_rowwise_naive(rows)
+    out = qgemm_int64(xq, wq, scales, col_scales)
+    return out.reshape(*x.shape[:-1], wq.shape[1])

@@ -2,9 +2,11 @@
 
 Contracts under test: per-row symmetric quantize-on-write / dequant-on-
 read, the >= 3x capacity win at equal arena bytes, bit-verbatim payload
-+ scales movement through grow/COW/materialize, the scale-table reset on
-fresh carves, the memcheck extent rule for int8 arenas, and engine-level
-determinism (seeded replay, prefix on/off identity, chaos storm).
++ scales movement through grow/COW/materialize, slab-wide (step-batched)
+K/V movement bytewise equal to the per-layer accessors (fp32 and int8),
+the scale-table reset on fresh carves, the memcheck extent rule for int8
+arenas, and engine-level determinism (seeded replay, prefix on/off
+identity, chaos storm).
 """
 
 import numpy as np
@@ -160,6 +162,145 @@ class TestSlab:
         alloc.release(slab, evictable=False)
         with pytest.raises(KVCacheUseAfterFree):
             slab.k_read(0)
+
+
+def plane_rows(n, seed, layers=2, heads=2, d_head=8):
+    """Float32 rows of every plane: ``(2 * layers, heads, n, d_head)``."""
+    return np.random.default_rng(seed).standard_normal(
+        (2 * layers, heads, n, d_head)).astype(np.float32)
+
+
+def stored(slab):
+    """The bytes of the slab's rows ``[:length]``: payload, then scales."""
+    payload = slab.planes()[:, :, : slab.length].tobytes()
+    if not slab.config.quantized:
+        return payload
+    return payload + slab.row_scales()[:, : slab.length].tobytes()
+
+
+def write_row_by_row(slab, start, values):
+    """The reference: one ``write_k``/``write_v`` call per layer per row."""
+    for t in range(values.shape[2]):
+        for layer in range(slab.config.layers):
+            slab.write_k(layer, start + t, values[2 * layer][:, t : t + 1])
+            slab.write_v(layer, start + t, values[2 * layer + 1][:, t : t + 1])
+
+
+@pytest.mark.parametrize("kv_dtype", ["float32", "int8"])
+class TestBatchedMovement:
+    """Slab-wide K/V movement is bytewise the per-(layer, row) accessors."""
+
+    def pair(self, kv_dtype, tokens=24):
+        cfg = make_config(kv_dtype=kv_dtype)
+        batched, reference = KVCacheAllocator(cfg), KVCacheAllocator(cfg)
+        return (batched, batched.alloc("s", tokens)), (reference, reference.alloc("s", tokens))
+
+    def test_write_rows_equals_row_by_row_writes(self, kv_dtype):
+        (_, a), (_, b) = self.pair(kv_dtype)
+        prompt = plane_rows(7, seed=5)
+        a.write_rows(0, prompt)
+        write_row_by_row(b, 0, prompt)
+        for t in range(7, 12):
+            row = plane_rows(1, seed=t)
+            a.write_rows(t, row)
+            write_row_by_row(b, t, row)
+        a.length = b.length = 12
+        assert stored(a) == stored(b)
+
+    def test_read_into_equals_per_layer_reads(self, kv_dtype):
+        (_, slab), _ = self.pair(kv_dtype)
+        slab.write_rows(0, plane_rows(9, seed=6))
+        slab.length = 9
+        out = np.full((4, 2, slab.capacity, 8), np.nan, np.float32)
+        slab.read_into(out)
+        for layer in range(2):
+            assert out[2 * layer, :, :9].tobytes() == slab.k_read(layer)[:, :9].tobytes()
+            assert out[2 * layer + 1, :, :9].tobytes() == slab.v_read(layer)[:, :9].tobytes()
+        assert np.isnan(out[:, :, 9:]).all()  # rows past length untouched
+
+    def test_step_encode_equals_per_slab_writes(self, kv_dtype):
+        # The decode step: every slab's new row encoded in one call, then
+        # one scatter per slab.
+        cfg = make_config(kv_dtype=kv_dtype)
+        a, b = KVCacheAllocator(cfg), KVCacheAllocator(cfg)
+        lengths = (3, 0, 6)
+        slabs_a = [a.alloc(f"s{i}", 8) for i in range(3)]
+        slabs_b = [b.alloc(f"s{i}", 8) for i in range(3)]
+        for i, n in enumerate(lengths):
+            prompt = plane_rows(n, seed=20 + i)
+            slabs_a[i].write_rows(0, prompt)
+            write_row_by_row(slabs_b[i], 0, prompt)
+        new = np.stack([plane_rows(1, seed=30 + i) for i in range(3)], axis=1)
+        payload, scales = cfg.encode_rows(new)  # (2 * layers, 3, heads, 1, d_head)
+        for i, n in enumerate(lengths):
+            slabs_a[i].put_rows(n, payload[:, i], None if scales is None else scales[:, i])
+            write_row_by_row(slabs_b[i], n, new[:, i])
+            slabs_a[i].length = slabs_b[i].length = n + 1
+            assert stored(slabs_a[i]) == stored(slabs_b[i])
+
+    def test_movement_survives_grow_and_materialize(self, kv_dtype):
+        (alloc_a, a), (alloc_b, b) = self.pair(kv_dtype, tokens=8)
+        prompt = plane_rows(8, seed=7)
+        a.write_rows(0, prompt)
+        write_row_by_row(b, 0, prompt)
+        a.length = b.length = 8
+        a, b = alloc_a.grow(a, 9), alloc_b.grow(b, 9)
+        assert a.capacity == b.capacity > 8
+        a.write_rows(8, plane_rows(1, seed=8))
+        write_row_by_row(b, 8, plane_rows(1, seed=8))
+        a.length = b.length = 9
+        assert stored(a) == stored(b)
+        # COW: share the prefix, materialize through grow, write on.
+        alloc_a.release(a, evictable=True)
+        alloc_b.release(b, evictable=True)
+        ca = alloc_a.grow(alloc_a.share(a, "c", 9), 10)
+        cb = alloc_b.grow(alloc_b.share(b, "c", 9), 10)
+        assert not ca.shared and not cb.shared
+        ca.write_rows(9, plane_rows(1, seed=9))
+        write_row_by_row(cb, 9, plane_rows(1, seed=9))
+        ca.length = cb.length = 10
+        assert stored(ca) == stored(cb)
+        out_a = np.zeros((4, 2, ca.capacity, 8), np.float32)
+        out_b = np.zeros_like(out_a)
+        ca.read_into(out_a)
+        cb.read_into(out_b)
+        assert out_a.tobytes() == out_b.tobytes()
+
+    def test_shared_slab_rejects_slab_wide_writes(self, kv_dtype):
+        (alloc, parent), _ = self.pair(kv_dtype, tokens=8)
+        parent.write_rows(0, plane_rows(4, seed=10))
+        parent.length = 4
+        before = stored(parent)
+        child = alloc.share(parent, "c", 4)
+        payload, scales = child.config.encode_rows(plane_rows(1, seed=11))
+        with pytest.raises(ValueError):
+            child.write_rows(4, plane_rows(1, seed=11))
+        with pytest.raises(ValueError):
+            child.put_rows(4, payload, scales)
+        with pytest.raises(ValueError):
+            child.planes()[:, :, 0] = 0
+        if kv_dtype == "int8":
+            with pytest.raises(ValueError):
+                child.row_scales()[:, 0] = 0
+        assert stored(parent) == before
+        out = np.zeros((4, 2, 8, 8), np.float32)
+        child.read_into(out)  # reading through the shared view is fine
+
+    def test_freed_slab_views_raise(self, kv_dtype):
+        (alloc, slab), _ = self.pair(kv_dtype, tokens=8)
+        alloc.release(slab)
+        with pytest.raises(KVCacheUseAfterFree):
+            slab.planes()
+        with pytest.raises(KVCacheUseAfterFree):
+            slab.read_into(np.zeros((4, 2, 8, 8), np.float32))
+        with pytest.raises(KVCacheUseAfterFree):
+            slab.write_rows(0, plane_rows(1, seed=12))
+        if kv_dtype == "int8":
+            with pytest.raises(KVCacheUseAfterFree):
+                slab.row_scales()
+        else:
+            with pytest.raises(ValueError):
+                slab.row_scales()  # fp32 slabs keep no scales table
 
 
 class TestMemcheck:
